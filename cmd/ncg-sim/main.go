@@ -36,6 +36,11 @@ func main() {
 		analyze = flag.Bool("analyze", false, "print the structural equilibrium report")
 	)
 	flag.Parse()
+	if err := checkRadius(*k); err != nil {
+		fmt.Fprintln(os.Stderr, "ncg-sim:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	rng := rand.New(rand.NewSource(*seed))
 	var s *game.State
@@ -102,4 +107,13 @@ func main() {
 		}
 		fmt.Printf("saved final state to %s\n", *save)
 	}
+}
+
+// checkRadius rejects a negative view radius. k = 0 is valid: each player
+// then sees only herself.
+func checkRadius(k int) error {
+	if k < 0 {
+		return fmt.Errorf("-k must be >= 0, got %d", k)
+	}
+	return nil
 }

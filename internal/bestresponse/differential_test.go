@@ -11,10 +11,11 @@ import (
 	"repro/internal/graph"
 )
 
-// The tests in this file pin the pooled Evaluator against the retained
-// reference implementations (reference.go) on randomized instances: the
-// fast path must return byte-identical strategies and Improving flags,
-// and costs equal up to float-summation noise. Run under -race in CI.
+// The tests in this file pin the Evaluator against the retained
+// reference implementations (reference_test.go) on randomized instances:
+// the fast path must return byte-identical strategies and Improving
+// flags, and costs equal up to float-summation noise. Run under -race in
+// CI.
 
 // costTol absorbs the difference between the reference's float fold and
 // the Evaluator's integer aggregation — at most a few ulps for any
@@ -86,9 +87,10 @@ func diffGraphs(rng *rand.Rand) []*graph.Graph {
 }
 
 func TestEvaluatorMatchesReference(t *testing.T) {
+	e := NewEvaluator()
 	rng := rand.New(rand.NewSource(20260808))
 	alphas := []float64{0.5, 1, 2.7}
-	ks := []int{1, 2, 3, 1000}
+	ks := []int{0, 1, 2, 3, 1000}
 	for gi, g := range diffGraphs(rng) {
 		s := game.FromGraphRandomOwners(g, rng)
 		for _, k := range ks {
@@ -108,22 +110,22 @@ func TestEvaluatorMatchesReference(t *testing.T) {
 						{rng.Intn(s.N()), rng.Intn(s.N())},
 					}
 					for _, cand := range cands {
-						if got, want := SumDelta(s, u, k, alpha, cand), refSumDelta(s, u, k, alpha, cand); !costsEqual(got, want) {
+						if got, want := e.SumDelta(s, u, k, alpha, cand), refSumDelta(s, u, k, alpha, cand); !costsEqual(got, want) {
 							t.Fatalf("%s(%v): %v, reference %v", tag("SumDelta"), cand, got, want)
 						}
-						if got, want := MaxEvaluate(s, u, k, alpha, cand), refMaxEvaluate(s, u, k, alpha, cand); !costsEqual(got, want) {
+						if got, want := e.MaxEvaluate(s, u, k, alpha, cand), refMaxEvaluate(s, u, k, alpha, cand); !costsEqual(got, want) {
 							t.Fatalf("%s(%v): %v, reference %v", tag("MaxEvaluate"), cand, got, want)
 						}
 					}
 
 					checkResponse(t, tag("SumGreedyResponse"),
-						SumGreedyResponse(s, u, k, alpha), refSumGreedyResponse(s, u, k, alpha))
+						e.SumGreedyResponse(s, u, k, alpha), refSumGreedyResponse(s, u, k, alpha))
 					checkResponse(t, tag("MaxGreedyResponse"),
-						MaxGreedyResponse(s, u, k, alpha), refMaxGreedyResponse(s, u, k, alpha))
+						e.MaxGreedyResponse(s, u, k, alpha), refMaxGreedyResponse(s, u, k, alpha))
 					checkResponse(t, tag("MaxBestResponse"),
-						MaxBestResponse(s, u, k, alpha), refMaxBestResponse(s, u, k, alpha))
+						e.MaxBestResponse(s, u, k, alpha), refMaxBestResponse(s, u, k, alpha))
 
-					got := SumBestResponseExhaustive(s, u, k, alpha, 12)
+					got := e.SumBestResponseExhaustive(s, u, k, alpha, 12)
 					want := refSumBestResponseExhaustive(s, u, k, alpha, 12)
 					if got.Feasible != want.Feasible {
 						t.Fatalf("%s: feasible %v, reference %v", tag("SumBestResponseExhaustive"), got.Feasible, want.Feasible)
@@ -143,6 +145,7 @@ func TestEvaluatorMatchesReference(t *testing.T) {
 // states a sweep visits, so agreement here implies byte-identical sweep
 // checkpoints.
 func TestEvaluatorMatchesReferenceUnderDynamics(t *testing.T) {
+	e := NewEvaluator()
 	rng := rand.New(rand.NewSource(77))
 	type cfg struct {
 		k     int
@@ -157,10 +160,10 @@ func TestEvaluatorMatchesReferenceUnderDynamics(t *testing.T) {
 			for u := 0; u < s.N(); u++ {
 				var got, want Response
 				if c.max {
-					got = MaxBestResponse(s, u, c.k, c.alpha)
+					got = e.MaxBestResponse(s, u, c.k, c.alpha)
 					want = refMaxBestResponse(s, u, c.k, c.alpha)
 				} else {
-					got = SumGreedyResponse(s, u, c.k, c.alpha)
+					got = e.SumGreedyResponse(s, u, c.k, c.alpha)
 					want = refSumGreedyResponse(s, u, c.k, c.alpha)
 				}
 				tag := fmt.Sprintf("dynamics[round=%d u=%d k=%d a=%g max=%v]", round, u, c.k, c.alpha, c.max)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"sync"
 
 	"repro/internal/game"
 	"repro/internal/graph"
@@ -12,12 +11,10 @@ import (
 	"repro/internal/view"
 )
 
-// Evaluator owns the reusable buffers for computing many responses — the
-// pooled view workspace, the candidate filters, and the MAXNCG
-// all-pairs/bitset machinery. Responses are byte-identical to the
-// package-level functions (which run on a pooled Evaluator themselves);
-// holding one explicitly just keeps a sweep's allocations O(workers)
-// instead of O(moves).
+// Evaluator computes every response rule of the package and owns the
+// reusable buffers for computing many of them — the view workspace, the
+// candidate filters, and the MAXNCG all-pairs/bitset machinery — so a
+// sweep's allocations are O(workers) instead of O(moves).
 //
 // An Evaluator is not safe for concurrent use: give each worker its own.
 type Evaluator struct {
@@ -54,9 +51,6 @@ const (
 // NewEvaluator returns an empty Evaluator; buffers grow on first use.
 func NewEvaluator() *Evaluator { return &Evaluator{} }
 
-// evalPool backs the package-level convenience functions.
-var evalPool = sync.Pool{New: func() any { return NewEvaluator() }}
-
 // prepare extracts u's view into the workspace and classifies the
 // center's incident edges.
 func (e *Evaluator) prepare(s *game.State, u, k int) {
@@ -69,7 +63,16 @@ func (e *Evaluator) prepare(s *game.State, u, k int) {
 	}
 }
 
-// SumDelta is the Evaluator form of the package-level SumDelta.
+// SumDelta evaluates the paper's worst-case cost difference Δ(σ_u, σ'_u)
+// for SUMNCG (Prop. 2.2), relative to the current strategy:
+//
+//   - if the candidate strategy pushes any frontier vertex (distance
+//     exactly k in H) beyond distance k in the modified view H', the
+//     worst case is unbounded and the move can never improve → +Inf;
+//   - otherwise Δ = α(|σ'|-|σ|) + Σ_{v: d_H(u,v)<k} (d_{H'}(u,v) - d_H(u,v)),
+//     attained at G = H.
+//
+// A strategy is improving exactly when SumDelta < 0.
 func (e *Evaluator) SumDelta(s *game.State, u, k int, alpha float64, strategy []int) float64 {
 	e.prepare(s, u, k)
 	e.edges = append(e.edges[:0], e.fixed...)
@@ -88,165 +91,11 @@ func (e *Evaluator) SumDelta(s *game.State, u, k int, alpha float64, strategy []
 	return alpha*float64(len(strategy)-s.BoughtCount(u)) + float64(sum-e.ws.InnerBase())
 }
 
-// growFlags sizes and zero-fills assumptions for the per-local filter.
-func (e *Evaluator) growFlags(b int) {
-	if cap(e.flags) < b {
-		e.flags = make([]uint8, b)
-	}
-	e.flags = e.flags[:b]
-}
-
-// markCandidates fills flags and curLoc for a greedy scan over the
-// current strategy; the caller must clearFlags afterwards.
-func (e *Evaluator) markCandidates(s *game.State, u int, current []int) {
-	e.growFlags(e.ws.Size())
-	for _, l := range e.fixed {
-		e.flags[l] |= flagBuysIn
-	}
-	e.curLoc = e.curLoc[:0]
-	for _, w := range current {
-		// Strategy targets are at distance 1, hence always in the view.
-		l := int32(e.ws.LocalOf(w))
-		e.curLoc = append(e.curLoc, l)
-		e.flags[l] |= flagCurrent
-	}
-}
-
-func (e *Evaluator) clearFlags() {
-	for _, l := range e.fixed {
-		e.flags[l] = 0
-	}
-	for _, l := range e.curLoc {
-		e.flags[l] = 0
-	}
-}
-
-// baseWithout fills e.edges with fixed ∪ curLoc minus curLoc[i].
-func (e *Evaluator) baseWithout(i int) {
-	e.edges = append(e.edges[:0], e.fixed...)
-	e.edges = append(e.edges, e.curLoc[:i]...)
-	e.edges = append(e.edges, e.curLoc[i+1:]...)
-}
-
-// move identifies the best greedy move found so far.
-type move struct {
-	kind int // 0 none, 1 add, 2 remove, 3 swap
-	i    int // index into current (remove/swap)
-	l    int32
-}
-
-// materialize turns a greedy move into a fresh sorted global strategy.
-func (e *Evaluator) materialize(current []int, m move) []int {
-	switch m.kind {
-	case 1: // add
-		out := make([]int, 0, len(current)+1)
-		out = append(out, current...)
-		out = append(out, int(e.ws.Orig[m.l]))
-		sort.Ints(out)
-		return out
-	case 2: // remove
-		out := make([]int, 0, len(current)-1)
-		out = append(out, current[:m.i]...)
-		out = append(out, current[m.i+1:]...)
-		return out // current is sorted, so the remainder is too
-	case 3: // swap
-		out := make([]int, 0, len(current))
-		out = append(out, current[:m.i]...)
-		out = append(out, current[m.i+1:]...)
-		out = append(out, int(e.ws.Orig[m.l]))
-		sort.Ints(out)
-		return out
-	default:
-		return append([]int(nil), current...)
-	}
-}
-
-// greedyScan runs the shared single-move loop (additions, removals,
-// swaps — in exactly that candidate order) over the workspace, scoring
-// each candidate with eval(candLen) on the workspace's maintained state.
-// The strict epsilon tie-break keeps the earliest best candidate, like
-// the reference implementations.
-func (e *Evaluator) greedyScan(current []int, bestScore float64, eval func(candLen int) float64) (float64, move, bool) {
-	b := e.ws.Size()
-	best := move{}
-	improving := false
-	consider := func(score float64, m move) {
-		if score < bestScore-epsilon {
-			bestScore = score
-			best = m
-			improving = true
-		}
-	}
-	// Additions.
-	e.edges = append(e.edges[:0], e.fixed...)
-	e.edges = append(e.edges, e.curLoc...)
-	e.ws.ResetBase(e.edges)
-	for l := 1; l < b; l++ {
-		if e.flags[l] != 0 {
-			continue
-		}
-		mark := e.ws.Mark()
-		e.ws.AddEdgeRelax(int32(l))
-		d := eval(len(current) + 1)
-		e.ws.Undo(mark)
-		consider(d, move{kind: 1, l: int32(l)})
-	}
-	// Removals.
-	for i := range current {
-		e.baseWithout(i)
-		e.ws.ResetBase(e.edges)
-		consider(eval(len(current)-1), move{kind: 2, i: i})
-	}
-	// Swaps.
-	for i := range current {
-		e.baseWithout(i)
-		e.ws.ResetBase(e.edges)
-		for l := 1; l < b; l++ {
-			if e.flags[l] != 0 {
-				continue
-			}
-			mark := e.ws.Mark()
-			e.ws.AddEdgeRelax(int32(l))
-			d := eval(len(current))
-			e.ws.Undo(mark)
-			consider(d, move{kind: 3, i: i, l: int32(l)})
-		}
-	}
-	return bestScore, best, improving
-}
-
-// SumGreedyResponse is the Evaluator form of the package-level
-// SumGreedyResponse.
-func (e *Evaluator) SumGreedyResponse(s *game.State, u, k int, alpha float64) Response {
-	current := s.Strategy(u)
-	if k == 0 && len(current) > 0 {
-		// Radius zero puts the current targets outside the view; the
-		// incremental scan assumes they are in it (they sit at distance 1
-		// for every k >= 1), so this corner runs on the reference.
-		return refSumGreedyResponse(s, u, k, alpha)
-	}
-	e.prepare(s, u, k)
-	e.markCandidates(s, u, current)
-	bought := s.BoughtCount(u)
-	eval := func(candLen int) float64 {
-		sum, ok := e.ws.InnerSum()
-		if !ok {
-			return game.InfiniteCost
-		}
-		return alpha*float64(candLen-bought) + float64(sum-e.ws.InnerBase())
-	}
-	bestDelta, best, improving := e.greedyScan(current, 0.0, eval)
-	e.clearFlags()
-	return Response{
-		Strategy:    e.materialize(current, best),
-		Cost:        bestDelta,
-		CurrentCost: 0,
-		Improving:   improving,
-	}
-}
-
-// SumBestResponseExhaustive is the Evaluator form of the package-level
-// SumBestResponseExhaustive.
+// SumBestResponseExhaustive computes an exact SUMNCG best response over
+// the view by subset enumeration, honoring the frontier guard. The
+// candidate set excludes u and vertices that bought edges towards u (edges
+// that exist for free). maxCandidates bounds the enumeration (2^c
+// evaluations).
 func (e *Evaluator) SumBestResponseExhaustive(s *game.State, u, k int, alpha float64, maxCandidates int) SumExhaustiveResult {
 	e.prepare(s, u, k)
 	b := e.ws.Size()
@@ -308,8 +157,30 @@ func (e *Evaluator) SumBestResponseExhaustive(s *game.State, u, k int, alpha flo
 	}
 }
 
-// MaxBestResponse is the Evaluator form of the package-level
-// MaxBestResponse.
+// SumResponse is the SUMNCG responder the dynamics run: the exact subset
+// search when the view has at most maxCandidates candidates, otherwise
+// the greedy better response (the paper limited its experiments to
+// MAXNCG because the exact SUMNCG response is exponential; see §5).
+func (e *Evaluator) SumResponse(s *game.State, u, k int, alpha float64, maxCandidates int) Response {
+	if ex := e.SumBestResponseExhaustive(s, u, k, alpha, maxCandidates); ex.Feasible {
+		return ex.Response
+	}
+	return e.SumGreedyResponse(s, u, k, alpha)
+}
+
+// MaxBestResponse computes an exact best response for player u in MAXNCG
+// with view radius k and edge price alpha, following §5.3:
+//
+//  1. extract the view H = G[β(u,k)];
+//  2. remove u; vertices that bought an edge towards u stay adjacent to u
+//     in every strategy, so they are "forced" dominators;
+//  3. for every target eccentricity h, a strategy achieving eccentricity
+//     <= h is exactly a dominating set of the (h-1)-th power of H∖{u}
+//     extending the forced set; minimize α·|extra| + h over h.
+//
+// The returned strategy never buys edges already bought towards u (they
+// would be pure waste) and is exact: no strategy over the view has lower
+// cost.
 func (e *Evaluator) MaxBestResponse(s *game.State, u, k int, alpha float64) Response {
 	e.prepare(s, u, k)
 	cur := alpha*float64(s.BoughtCount(u)) + float64(e.ws.ViewEcc())
@@ -426,7 +297,10 @@ func (e *Evaluator) MaxBestResponse(s *game.State, u, k int, alpha float64) Resp
 	}
 }
 
-// MaxEvaluate is the Evaluator form of the package-level MaxEvaluate.
+// MaxEvaluate computes the view-restricted MAXNCG cost of an arbitrary
+// candidate strategy (global ids, all inside u's view): α·|σ'| plus the
+// eccentricity of u in the modified view H'. Used by tests and by the LKE
+// auditor to cross-check responder outputs against exhaustive search.
 func (e *Evaluator) MaxEvaluate(s *game.State, u, k int, alpha float64, strategy []int) float64 {
 	e.prepare(s, u, k)
 	e.edges = append(e.edges[:0], e.fixed...)
@@ -443,32 +317,4 @@ func (e *Evaluator) MaxEvaluate(s *game.State, u, k int, alpha float64, strategy
 		return game.InfiniteCost
 	}
 	return alpha*float64(len(strategy)) + float64(ecc)
-}
-
-// MaxGreedyResponse is the Evaluator form of the package-level
-// MaxGreedyResponse.
-func (e *Evaluator) MaxGreedyResponse(s *game.State, u, k int, alpha float64) Response {
-	current := s.Strategy(u)
-	if k == 0 && len(current) > 0 {
-		// Same radius-zero corner as SumGreedyResponse.
-		return refMaxGreedyResponse(s, u, k, alpha)
-	}
-	e.prepare(s, u, k)
-	e.markCandidates(s, u, current)
-	cur := alpha*float64(s.BoughtCount(u)) + float64(e.ws.ViewEcc())
-	eval := func(candLen int) float64 {
-		ecc := e.ws.EccAll()
-		if ecc >= graph.Unreachable {
-			return game.InfiniteCost
-		}
-		return alpha*float64(candLen) + float64(ecc)
-	}
-	bestCost, best, improving := e.greedyScan(current, cur, eval)
-	e.clearFlags()
-	return Response{
-		Strategy:    e.materialize(current, best),
-		Cost:        bestCost,
-		CurrentCost: cur,
-		Improving:   improving,
-	}
 }

@@ -9,14 +9,15 @@ import (
 )
 
 // TestLargeNeighborhoodMatchesReference pins the workspace-backed
-// shift/exchange descent (large.go) against its clone-and-BFS executable
-// spec (large_reference.go) on randomized instances across every
+// shift/exchange descent (descent.go) against its clone-and-BFS executable
+// spec (large_reference_test.go) on randomized instances across every
 // generator family — byte-identical strategies, Improving flags, and
 // costs up to float-summation noise. Run under -race in CI.
 func TestLargeNeighborhoodMatchesReference(t *testing.T) {
+	e := NewEvaluator()
 	rng := rand.New(rand.NewSource(20260808))
 	alphas := []float64{0.5, 1, 2.7}
-	ks := []int{1, 2, 3, 1000}
+	ks := []int{0, 1, 2, 3, 1000}
 	for gi, g := range diffGraphs(rng) {
 		s := game.FromGraphRandomOwners(g, rng)
 		for _, k := range ks {
@@ -27,10 +28,10 @@ func TestLargeNeighborhoodMatchesReference(t *testing.T) {
 						return fmt.Sprintf("%s[g=%d u=%d k=%d a=%g]", fn, gi, u, k, alpha)
 					}
 					checkResponse(t, tag("SumLargeNeighborhoodResponse"),
-						SumLargeNeighborhoodResponse(s, u, k, alpha),
+						e.SumLargeNeighborhoodResponse(s, u, k, alpha),
 						refLargeNeighborhoodResponse(s, u, k, alpha, game.Sum))
 					checkResponse(t, tag("MaxLargeNeighborhoodResponse"),
-						MaxLargeNeighborhoodResponse(s, u, k, alpha),
+						e.MaxLargeNeighborhoodResponse(s, u, k, alpha),
 						refLargeNeighborhoodResponse(s, u, k, alpha, game.Max))
 				}
 			}
@@ -46,6 +47,7 @@ func TestLargeNeighborhoodMatchesReference(t *testing.T) {
 // step cap was the binding constraint, which these small instances never
 // hit).
 func TestLargeNeighborhoodDescends(t *testing.T) {
+	e := NewEvaluator()
 	rng := rand.New(rand.NewSource(99))
 	for gi, g := range diffGraphs(rng) {
 		s := game.FromGraphRandomOwners(g, rng)
@@ -55,11 +57,11 @@ func TestLargeNeighborhoodDescends(t *testing.T) {
 				k, alpha := 2, 1.0
 				var large, greedy Response
 				if variant == game.Sum {
-					large = SumLargeNeighborhoodResponse(s, u, k, alpha)
-					greedy = SumGreedyResponse(s, u, k, alpha)
+					large = e.SumLargeNeighborhoodResponse(s, u, k, alpha)
+					greedy = e.SumGreedyResponse(s, u, k, alpha)
 				} else {
-					large = MaxLargeNeighborhoodResponse(s, u, k, alpha)
-					greedy = MaxGreedyResponse(s, u, k, alpha)
+					large = e.MaxLargeNeighborhoodResponse(s, u, k, alpha)
+					greedy = e.MaxGreedyResponse(s, u, k, alpha)
 				}
 				if large.Cost > greedy.Cost+costTol {
 					t.Fatalf("g=%d u=%d variant=%v: descent cost %v worse than single-move greedy %v",

@@ -8,7 +8,7 @@ import (
 )
 
 // refLargeNeighborhoodResponse is the executable specification of the
-// large-neighborhood responders in large.go: the same best-improvement
+// large-neighborhood responders in descent.go: the same best-improvement
 // descent over the shift/exchange move set, with every candidate scored
 // by a fresh clone-and-BFS evaluation (refSumDelta / refMaxEvaluate)
 // instead of the workspace's incremental relax/undo. Candidate order and

@@ -11,12 +11,12 @@ import (
 )
 
 // This file retains the original clone-and-BFS responder implementations,
-// verbatim except for the ref prefix. They are the specification: the
-// pooled Evaluator in eval.go must return byte-identical responses, and
-// the differential tests in differential_test.go pin the two against each
-// other on randomized instances. They also cover the one corner the fast
-// path delegates back (radius-zero greedy moves, where current strategy
-// targets fall outside the view).
+// verbatim except for the ref prefix. They are the test-only
+// specification: the Evaluator in eval.go and descent.go must return
+// byte-identical responses, and the differential tests in
+// differential_test.go pin the two against each other on randomized
+// instances, including the radius-zero corner where current strategy
+// targets fall outside the view.
 
 // refSumDelta is the reference implementation of SumDelta.
 func refSumDelta(s *game.State, u, k int, alpha float64, strategy []int) float64 {

@@ -68,15 +68,21 @@ func TestBenchCell(t *testing.T) {
 	s100 := benchState(100)
 	s60 := benchState(60)
 	sumStrategy := []int{1, 2}
+	// Each responder row holds one Evaluator for all its iterations, the
+	// way a sweep worker does.
+	perRow := func(fn func(e *bestresponse.Evaluator, i int)) func(i int) {
+		e := bestresponse.NewEvaluator()
+		return func(i int) { fn(e, i) }
+	}
 	cases := []struct {
 		name string
 		fn   func(i int)
 	}{
-		{"MaxBestResponseLocal", func(i int) { bestresponse.MaxBestResponse(s100, i%100, 3, 2) }},
-		{"MaxBestResponseFullKnowledge", func(i int) { bestresponse.MaxBestResponse(s100, i%100, 1000, 2) }},
-		{"MaxGreedyResponse", func(i int) { bestresponse.MaxGreedyResponse(s100, i%100, 3, 2) }},
-		{"SumDelta", func(i int) { bestresponse.SumDelta(s100, 0, 3, 2, sumStrategy) }},
-		{"SumGreedyResponse", func(i int) { bestresponse.SumGreedyResponse(s60, i%60, 2, 2) }},
+		{"MaxBestResponseLocal", perRow(func(e *bestresponse.Evaluator, i int) { e.MaxBestResponse(s100, i%100, 3, 2) })},
+		{"MaxBestResponseFullKnowledge", perRow(func(e *bestresponse.Evaluator, i int) { e.MaxBestResponse(s100, i%100, 1000, 2) })},
+		{"MaxGreedyResponse", perRow(func(e *bestresponse.Evaluator, i int) { e.MaxGreedyResponse(s100, i%100, 3, 2) })},
+		{"SumDelta", perRow(func(e *bestresponse.Evaluator, i int) { e.SumDelta(s100, 0, 3, 2, sumStrategy) })},
+		{"SumGreedyResponse", perRow(func(e *bestresponse.Evaluator, i int) { e.SumGreedyResponse(s60, i%60, 2, 2) })},
 		{"BestSwapSum", func(i int) { swap.BestSwap(s100, i%100, 3, swap.SumDist) }},
 		{"BestSwapMax", func(i int) { swap.BestSwap(s100, i%100, 3, swap.MaxEcc) }},
 	}

@@ -18,16 +18,16 @@ import (
 // (Proposition 2.1 makes the two games coincide when the view is
 // complete, which is the bridge the paper's experiments use as k=1000).
 func BestResponse(s *game.State, u int, variant game.Variant, alpha float64) bestresponse.Response {
+	return bestResponse(bestresponse.NewEvaluator(), s, u, variant, alpha)
+}
+
+func bestResponse(e *bestresponse.Evaluator, s *game.State, u int, variant game.Variant, alpha float64) bestresponse.Response {
 	k := s.N() // a radius-n ball covers any connected n-vertex graph
 	switch variant {
 	case game.Max:
-		return bestresponse.MaxBestResponse(s, u, k, alpha)
+		return e.MaxBestResponse(s, u, k, alpha)
 	case game.Sum:
-		r := bestresponse.SumBestResponseExhaustive(s, u, k, alpha, 20)
-		if r.Feasible {
-			return r.Response
-		}
-		return bestresponse.SumGreedyResponse(s, u, k, alpha)
+		return e.SumResponse(s, u, k, alpha, 20)
 	default:
 		panic("classic: unknown variant")
 	}
@@ -36,8 +36,9 @@ func BestResponse(s *game.State, u int, variant game.Variant, alpha float64) bes
 // IsNE audits full-knowledge Nash stability with the exact responder
 // (exact for MAXNCG; exact for SUMNCG up to the view-size gate).
 func IsNE(s *game.State, variant game.Variant, alpha float64) bool {
+	e := bestresponse.NewEvaluator()
 	for u := 0; u < s.N(); u++ {
-		if BestResponse(s, u, variant, alpha).Improving {
+		if bestResponse(e, s, u, variant, alpha).Improving {
 			return false
 		}
 	}

@@ -40,6 +40,16 @@
 // the evaluate-everyone loop. Every responder in this repository is
 // k-local.
 //
+// # Responders: one Evaluator per worker
+//
+// Every best-response rule lives in exactly one place, a method on
+// bestresponse.Evaluator. NewMaxResponder, NewSumResponder and
+// NewLargeNeighborhoodResponder each bind a fresh Evaluator, and
+// Config.NewResponder hands one to every sweep worker (LocalExecutor) or
+// run, so evaluation scratch is O(workers) and never shared between
+// goroutines. The clone-and-BFS reference responders in
+// internal/bestresponse are test-only.
+//
 // # Reference implementation and differential testing
 //
 // reference.go retains the naive loop — every player evaluated every

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bestresponse"
 	"repro/internal/game"
 	"repro/internal/gen"
 )
@@ -32,12 +33,13 @@ func BenchmarkRunTreeFullKnowledge(b *testing.B) {
 // BenchmarkRunBetterResponse swaps the exact responder for single-move
 // better responses (schedule ablation from §2's dynamics discussion).
 func BenchmarkRunBetterResponse(b *testing.B) {
+	greedy := bestresponse.NewEvaluator().MaxGreedyResponse
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
 		s := game.FromGraphRandomOwners(gen.RandomTree(60, rng), rng)
 		cfg := DefaultConfig(game.Max, 2, 3)
-		cfg.Responder = MaxGreedyResponder
+		cfg.Responder = greedy
 		Run(s, cfg)
 	}
 }

@@ -16,44 +16,21 @@ import (
 // players whose neighborhood has not changed.
 type Responder func(s *game.State, u, k int, alpha float64) bestresponse.Response
 
-// MaxResponder is the exact MAXNCG best responder (§5.3 reduction).
-func MaxResponder(s *game.State, u, k int, alpha float64) bestresponse.Response {
-	return bestresponse.MaxBestResponse(s, u, k, alpha)
-}
-
-// SumResponder is a SUMNCG responder: exact subset search when the view is
-// small, greedy local moves otherwise (see DESIGN.md §3, substitution 4).
-func SumResponder(maxCandidates int) Responder {
-	return func(s *game.State, u, k int, alpha float64) bestresponse.Response {
-		ex := bestresponse.SumBestResponseExhaustive(s, u, k, alpha, maxCandidates)
-		if ex.Feasible {
-			return ex.Response
-		}
-		return bestresponse.SumGreedyResponse(s, u, k, alpha)
-	}
-}
-
-// NewMaxResponder returns a MaxResponder bound to its own
-// bestresponse.Evaluator, so a worker running many cells reuses one set
-// of scratch buffers instead of going through the shared pool per call.
-// Responses are identical to MaxResponder's.
+// NewMaxResponder returns the exact MAXNCG best responder (§5.3
+// reduction) bound to its own bestresponse.Evaluator, so a worker running
+// many cells reuses one set of scratch buffers. Each call returns an
+// independent responder; never share one across goroutines.
 func NewMaxResponder() Responder {
-	e := bestresponse.NewEvaluator()
-	return func(s *game.State, u, k int, alpha float64) bestresponse.Response {
-		return e.MaxBestResponse(s, u, k, alpha)
-	}
+	return bestresponse.NewEvaluator().MaxBestResponse
 }
 
-// NewSumResponder is SumResponder bound to its own Evaluator; see
-// NewMaxResponder.
+// NewSumResponder returns the SUMNCG responder bound to its own
+// Evaluator: exact subset search when the view has at most maxCandidates
+// candidates, greedy local moves otherwise (Evaluator.SumResponse).
 func NewSumResponder(maxCandidates int) Responder {
 	e := bestresponse.NewEvaluator()
 	return func(s *game.State, u, k int, alpha float64) bestresponse.Response {
-		ex := e.SumBestResponseExhaustive(s, u, k, alpha, maxCandidates)
-		if ex.Feasible {
-			return ex.Response
-		}
-		return e.SumGreedyResponse(s, u, k, alpha)
+		return e.SumResponse(s, u, k, alpha, maxCandidates)
 	}
 }
 
@@ -144,9 +121,13 @@ type Result struct {
 
 // Config parameterizes a dynamics run.
 type Config struct {
-	Variant   game.Variant
-	Alpha     float64
-	K         int
+	Variant game.Variant
+	Alpha   float64
+	K       int
+	// Responder, when set, is the one responder of the run — shared by
+	// every worker of a sweep, so it must be safe for concurrent use. A
+	// responder bound to a bestresponse.Evaluator is not: sweeps get those
+	// through NewResponder.
 	Responder Responder
 	// NewResponder, when set, constructs a fresh responder owning its own
 	// evaluation scratch. RunContext falls back to it when Responder is

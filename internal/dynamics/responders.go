@@ -54,20 +54,16 @@ func SwapResponder(variant game.Variant) Responder {
 
 // NewLargeNeighborhoodResponder returns a constructor for responders
 // running shift/exchange best-improvement descent (see
-// bestresponse/large.go) bound to their own Evaluator — the
+// bestresponse/descent.go) bound to their own Evaluator — the
 // large-neighborhood dialect's analogue of NewMaxResponder /
 // NewSumResponder.
 func NewLargeNeighborhoodResponder(variant game.Variant) func() Responder {
 	return func() Responder {
 		e := bestresponse.NewEvaluator()
 		if variant == game.Sum {
-			return func(s *game.State, u, k int, alpha float64) bestresponse.Response {
-				return e.SumLargeNeighborhoodResponse(s, u, k, alpha)
-			}
+			return e.SumLargeNeighborhoodResponse
 		}
-		return func(s *game.State, u, k int, alpha float64) bestresponse.Response {
-			return e.MaxLargeNeighborhoodResponse(s, u, k, alpha)
-		}
+		return e.MaxLargeNeighborhoodResponse
 	}
 }
 

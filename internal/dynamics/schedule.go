@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 
-	"repro/internal/bestresponse"
 	"repro/internal/game"
 )
 
@@ -37,13 +36,6 @@ func (s Schedule) String() string {
 	default:
 		return "unknown"
 	}
-}
-
-// MaxGreedyResponder is the single-move "better response" for MAXNCG —
-// the dynamics variant whose divergence the paper cites from
-// Kawald–Lenzner (§2).
-func MaxGreedyResponder(s *game.State, u, k int, alpha float64) bestresponse.Response {
-	return bestresponse.MaxGreedyResponse(s, u, k, alpha)
 }
 
 // RunScheduled is Run with an explicit activation schedule. rng is used

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bestresponse"
 	"repro/internal/game"
 	"repro/internal/gen"
 )
@@ -59,7 +60,7 @@ func TestBetterResponseDynamicsConverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	s := game.FromGraphRandomOwners(gen.RandomTree(20, rng), rng)
 	cfg := DefaultConfig(game.Max, 1, 3)
-	cfg.Responder = MaxGreedyResponder
+	cfg.Responder = bestresponse.NewEvaluator().MaxGreedyResponse
 	res := Run(s, cfg)
 	if res.Status != Converged {
 		t.Fatalf("better-response dynamics status=%v", res.Status)
@@ -81,7 +82,7 @@ func TestBetterVsBestQuality(t *testing.T) {
 		t.Skip("no convergence at this seed")
 	}
 	greedyCfg := best
-	greedyCfg.Responder = MaxGreedyResponder
+	greedyCfg.Responder = bestresponse.NewEvaluator().MaxGreedyResponse
 	if FirstDeviator(res.Final, greedyCfg) != -1 {
 		t.Fatal("best-response equilibrium fails the single-move audit")
 	}

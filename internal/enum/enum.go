@@ -158,14 +158,15 @@ func isNE(s *game.State, variant game.Variant, alpha float64) bool {
 // rules: the exact MDS-based responder for MAXNCG (Prop. 2.1) and the
 // exhaustive Δ-search for SUMNCG (Prop. 2.2).
 func isLKE(s *game.State, variant game.Variant, alpha float64, k int) bool {
+	e := bestresponse.NewEvaluator()
 	for u := 0; u < s.N(); u++ {
 		switch variant {
 		case game.Max:
-			if bestresponse.MaxBestResponse(s, u, k, alpha).Improving {
+			if e.MaxBestResponse(s, u, k, alpha).Improving {
 				return false
 			}
 		case game.Sum:
-			r := bestresponse.SumBestResponseExhaustive(s, u, k, alpha, 8)
+			r := e.SumBestResponseExhaustive(s, u, k, alpha, 8)
 			if r.Feasible && r.Improving {
 				return false
 			}

@@ -14,7 +14,8 @@ import (
 // This is the exact g=6 member of the dense high-girth family invoked in
 // Lemma 3.2 (the paper cites Lazebnik–Ustimenko–Woldar; incidence graphs of
 // projective planes achieve the same parameters for girth 6 and are
-// constructible with elementary modular arithmetic — see DESIGN.md §3).
+// constructible with elementary modular arithmetic, so they stand in for
+// the cited family at that girth).
 // Points occupy ids [0, q²+q+1); lines occupy ids [q²+q+1, 2(q²+q+1)).
 func ProjectivePlaneIncidence(q int) (*graph.Graph, error) {
 	if q < 2 || !isPrime(q) {
@@ -68,7 +69,8 @@ func isPrime(n int) bool {
 //
 // The resulting graph is exactly q-regular and has certified girth >= g;
 // density is near-optimal for small g, weaker than algebraic constructions
-// for large g (documented substitution, DESIGN.md §3).
+// for large g. It substitutes for the algebraic family Lemma 3.2 cites
+// wherever ProjectivePlaneIncidence does not apply.
 func RegularHighGirth(n, q, g int, rng *rand.Rand, maxRestarts int) (*graph.Graph, error) {
 	if q < 2 || g < 3 {
 		return nil, fmt.Errorf("gen: RegularHighGirth needs q >= 2 and g >= 3 (got q=%d g=%d)", q, g)

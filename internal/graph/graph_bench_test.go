@@ -33,7 +33,8 @@ func BenchmarkBFSWithin(b *testing.B) {
 }
 
 // BenchmarkAllEccentricitiesParallel vs ...Serial is the ablation for the
-// parallel BFS fan-out (DESIGN.md: "parallel all-pairs BFS").
+// parallel BFS fan-out of AllEccentricities (one BFS worker per
+// GOMAXPROCS over a shared CSR snapshot, see parallelVertices).
 func BenchmarkAllEccentricitiesParallel(b *testing.B) {
 	g := benchGraph(500, 1000)
 	b.ReportAllocs()

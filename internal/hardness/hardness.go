@@ -67,7 +67,7 @@ func (in *Instance) MaxAlpha() float64 { return 2.0 / float64(in.Original.N()) }
 // her view at any k >= 1 is the whole network — exactly the paper's
 // argument that the reduction carries over to the local game.
 func (in *Instance) JoinerBestResponse(k int) bestresponse.Response {
-	return bestresponse.MaxBestResponse(in.State, in.Joiner, k, in.MaxAlpha())
+	return bestresponse.NewEvaluator().MaxBestResponse(in.State, in.Joiner, k, in.MaxAlpha())
 }
 
 // DominatingSetFromResponse interprets a joiner strategy as a vertex set

@@ -1,8 +1,9 @@
 // Package mds solves the (constrained) MINIMUM DOMINATING SET problem that
 // the paper's best-response computation reduces to (§5.3). The paper used
 // the Gurobi ILP solver; this package substitutes an exact branch-and-bound
-// search over bitset-encoded closed neighborhoods (see DESIGN.md §3) with a
-// greedy warm start, plus a greedy approximation for callers that prefer
+// search over bitset-encoded closed neighborhoods (the module depends on
+// the Go standard library only, so no ILP solver is at hand) with a greedy
+// warm start, plus a greedy approximation for callers that prefer
 // speed over optimality.
 //
 // A set S dominates graph G when every vertex is in S or adjacent to a
@@ -224,7 +225,7 @@ func greedyExtra(nbs []bitset, full, covered, forced bitset) []int {
 // nodeBudget bounds the branch-and-bound search tree. The budget is far
 // above what any experiment-scale instance needs; when it is exhausted the
 // solver returns its greedy-seeded incumbent, which is still a valid
-// dominating set but no longer certified minimum (Truncated reports this).
+// dominating set but no longer certified minimum.
 const nodeBudget = 4 << 20
 
 type solver struct {
@@ -327,10 +328,6 @@ func (s *solver) packingBound(covered bitset) int {
 	}
 	return count
 }
-
-// Truncated reports whether the last search exhausted its node budget
-// (result still dominates, but minimality is not certified).
-func (s *solver) Truncated() bool { return s.nodes >= nodeBudget }
 
 // pickBranchVertex returns the uncovered vertex with the smallest closed
 // neighborhood (fewest possible coverers), or -1 when all are covered.

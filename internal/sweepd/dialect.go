@@ -70,7 +70,7 @@ var dialects = map[string]dialect{
 	},
 	// Large-neighborhood best response à la Sokol et al.: shift/exchange
 	// best-improvement descent inside the view, a compound deviation
-	// explored heuristically (bestresponse/large.go).
+	// explored heuristically (bestresponse/descent.go).
 	"large-neighborhood": {
 		config: func(sp Spec) dynamics.Config {
 			v := sp.variant()

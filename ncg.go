@@ -122,11 +122,19 @@ var (
 var (
 	// ExtractView returns the k-neighborhood view of a player.
 	ExtractView = view.Extract
-	// MaxBestResponse is the exact MAXNCG best response (§5.3 reduction).
-	MaxBestResponse = bestresponse.MaxBestResponse
-	// SumDelta evaluates the worst-case SUMNCG cost change (Prop. 2.2).
-	SumDelta = bestresponse.SumDelta
 )
+
+// MaxBestResponse is the exact MAXNCG best response (§5.3 reduction),
+// computed on a fresh bestresponse.Evaluator.
+func MaxBestResponse(s *State, u, k int, alpha float64) Response {
+	return bestresponse.NewEvaluator().MaxBestResponse(s, u, k, alpha)
+}
+
+// SumDelta evaluates the worst-case SUMNCG cost change (Prop. 2.2),
+// computed on a fresh bestresponse.Evaluator.
+func SumDelta(s *State, u, k int, alpha float64, strategy []int) float64 {
+	return bestresponse.NewEvaluator().SumDelta(s, u, k, alpha, strategy)
+}
 
 // Dynamics.
 var (
